@@ -31,7 +31,8 @@ from ..errors import ClusterError
 from ..serving.batch_cache import BatchDecisions
 from ..serving.refresh import IncrementalALSRefresher
 from ..serving.service import ServingService
-from ..serving.stats import LatencyRecorder, ServingStats
+from ..serving.stats import ServingStats
+from ..telemetry.runtime import Telemetry
 
 
 class ClusterShard:
@@ -41,7 +42,10 @@ class ClusterShard:
     tests (and the deterministic parallel-throughput model in the cluster
     benchmark) can fake time.  With a ``journal`` attached every matrix
     mutation is written ahead to disk, :meth:`checkpoint` bounds the log,
-    and :meth:`recover` rebuilds the shard after :meth:`crash`.
+    and :meth:`recover` rebuilds the shard after :meth:`crash`.  Every
+    service the shard builds counts into ``telemetry``'s registry under
+    its shard label, so :meth:`stats` survives full-row retirement, and a
+    shard recovered on the same registry and label keeps its counts.
     """
 
     def __init__(
@@ -77,17 +81,11 @@ class ClusterShard:
         self.service: Optional[ServingService] = None
         self._rows: Dict[str, int] = {}
         self._refreshed_version: Optional[int] = None
-        # Owned by the shard, not the service: telemetry must survive the
-        # service being retired and rebuilt when every row migrates away.
-        self._recorder = LatencyRecorder()
-        # A shard-labeled view of the cluster's context (or None); handed
-        # to every service this shard builds so its metrics carry the
-        # shard's label.
-        self.telemetry = (
-            telemetry
-            if telemetry is not None and telemetry.config.enabled
-            else None
-        )
+        # A shard-labeled view of the cluster's context, handed to every
+        # service this shard builds: they resolve the same counter
+        # children, which therefore outlive any one service.
+        self._context = telemetry if telemetry is not None else Telemetry()
+        self._metrics = self._context.serving_metrics()
 
     # -- row bookkeeping -----------------------------------------------------
     @property
@@ -155,9 +153,8 @@ class ClusterShard:
                 regression_margin=self.regression_margin,
                 refresher=self.refresher,
                 clock=self._clock,
-                recorder=self._recorder,
                 journal=self.journal,
-                telemetry=self.telemetry,
+                telemetry=self._context,
             )
             indices = list(range(len(names)))
         else:
@@ -325,9 +322,8 @@ class ClusterShard:
                 regression_margin=shard.regression_margin,
                 refresher=shard.refresher,
                 clock=clock,
-                recorder=shard._recorder,
                 journal=journal,
-                telemetry=shard.telemetry,
+                telemetry=shard._context,
             )
             shard._rows = {
                 name: index for index, name in enumerate(shard.matrix.query_names)
@@ -338,11 +334,7 @@ class ClusterShard:
     # -- telemetry -------------------------------------------------------------
     def stats(self) -> ServingStats:
         """This shard's serving report (survives full-row retirement)."""
-        return self._recorder.report()
-
-    def recorder(self) -> LatencyRecorder:
-        """Raw recorder for exact cluster-wide percentile pooling."""
-        return self._recorder
+        return ServingStats.of(self._metrics)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -232,11 +232,6 @@ class WorkloadMatrix:
         row = np.where(self._observed[query], self._values[query], np.inf)
         return int(np.argmin(row))
 
-    def best_hints(self) -> List[Optional[int]]:
-        """Per-query :meth:`best_hint`."""
-        array = self.best_hint_array()
-        return [None if h < 0 else int(h) for h in array]
-
     def best_hint_array(self) -> np.ndarray:
         """Vectorised :meth:`best_hint`: per-query argmin over completed
         observations, ``-1`` where a row has none.

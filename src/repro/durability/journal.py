@@ -96,11 +96,6 @@ class ShardJournal:
         """Seed the backlog cache after replay (no record is written)."""
         self._last_backlog = [int(r) for r in rows]
 
-    @property
-    def last_backlog(self) -> List[int]:
-        """Most recent adaptation backlog this journal knows about."""
-        return list(self._last_backlog)
-
     # -- raw logging -------------------------------------------------------------------
     def log(self, kind: str, data: Dict[str, Any]) -> int:
         """Append one record; returns its LSN."""

@@ -168,7 +168,6 @@ def recover_service(
     regression_margin: float = 1.0,
     refresher=None,
     estimator=None,
-    recorder=None,
     monitor=None,
     fs: Optional[FaultFS] = None,
     sync: str = "os",
@@ -195,7 +194,6 @@ def recover_service(
         regression_margin=regression_margin,
         refresher=refresher,
         estimator=estimator,
-        recorder=recorder,
         monitor=monitor,
         journal=journal,
     )

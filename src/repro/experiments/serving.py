@@ -59,7 +59,7 @@ def serving_throughput_comparison(
     """Serve the same arrival stream per-query and batched; compare.
 
     Returns a dictionary with per-query and batched decisions/sec, the
-    speedup, serving-stats percentiles, and an ``identical`` flag asserting
+    speedup, the serving hit rate, and an ``identical`` flag asserting
     the two paths chose the same hint for every arrival.
     """
     if batch_size < 1 or n_batches < 1:
@@ -101,8 +101,6 @@ def serving_throughput_comparison(
         "speedup": (
             per_query_seconds / batched_seconds if batched_seconds > 0 else float("inf")
         ),
-        "p50_latency_us": stats.p50_latency_s * 1e6,
-        "p99_latency_us": stats.p99_latency_s * 1e6,
         "non_default_fraction": stats.non_default_fraction,
         "identical": float(identical),
     }

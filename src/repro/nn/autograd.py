@@ -18,7 +18,7 @@ when the graph is garbage collected.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -355,8 +355,3 @@ class Tensor:
 def parameter(data, name: str = "") -> Tensor:
     """Create a trainable (leaf) tensor."""
     return Tensor(data, requires_grad=True, name=name)
-
-
-def stack_tensors(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack detached tensors into a constant tensor (no gradient flow)."""
-    return Tensor(np.stack([t.data for t in tensors], axis=axis))

@@ -11,7 +11,7 @@ exercises:
 * ``tcnn_predict_full`` -- a full-matrix TCNN prediction pass,
 * ``serve_batch``    -- the batched online serving path,
 * ``telemetry_overhead`` -- the same serving loop with telemetry
-                        *enabled* (metrics mirror + stage timing); its
+                        *enabled* (tracing + stage timing); its
                         normalised cost tracks the instrumentation tax
                         against ``serve_batch``,
 * ``ingress_serve``  -- the asyncio front door: per-request awaits

@@ -337,14 +337,6 @@ class ScenarioSpec:
             start += phase.ticks
         return min(candidates) if candidates else None
 
-    def tenant_names(self) -> List[str]:
-        """Initial tenants plus every tenant that ever joins, in order."""
-        names = [tenant.name for tenant in self.tenants]
-        for event in sorted(self.events, key=lambda e: e.tick):
-            if event.action == "tenant_join":
-                names.append(event.tenant_spec.name)
-        return names
-
     def uses_cluster_actions(self) -> bool:
         """True when the spec contains cluster-only events (add_shard,
         kill_shard, restart_shard)."""

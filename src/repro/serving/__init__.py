@@ -11,14 +11,14 @@ same verified, no-regression serving rule engineered for heavy traffic:
 * :mod:`repro.serving.service` -- the request-facing service (serve /
   observe / predict / report) plus batched TCNN latency annotation over
   pre-packed padded tensors,
-* :mod:`repro.serving.stats` -- throughput, p50/p99 decision latency, and
-  regression-guarantee hit-rate telemetry.
+* :mod:`repro.serving.stats` -- the throughput and regression-guarantee
+  hit-rate report, read from the registry's serving counters.
 """
 
 from .batch_cache import BatchDecisions, BatchedPlanCache
 from .refresh import IncrementalALSRefresher
 from .service import BatchedLatencyEstimator, ServingService
-from .stats import LatencyRecorder, ServingStats
+from .stats import ServingStats
 
 __all__ = [
     "BatchDecisions",
@@ -26,6 +26,5 @@ __all__ = [
     "IncrementalALSRefresher",
     "BatchedLatencyEstimator",
     "ServingService",
-    "LatencyRecorder",
     "ServingStats",
 ]

@@ -15,8 +15,8 @@ heavy traffic:
   decisions with TCNN-predicted latencies using a single padded forward
   pass per batch (optionally sliced from a pre-packed whole-plan-space
   tensor after an explicit :meth:`~BatchedLatencyEstimator.warm_up`);
-* **report**: :meth:`stats` summarises throughput, p50/p99 decision
-  latency, and the regression-guarantee hit rate.
+* **report**: :meth:`stats` summarises throughput and the
+  regression-guarantee hit rate from the registry's serving counters.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from ..plans.featurize import TreeBatch
 from ..telemetry.runtime import Telemetry
 from .batch_cache import BatchDecisions, BatchedPlanCache
 from .refresh import IncrementalALSRefresher
-from .stats import LatencyRecorder, ServingStats
+from .stats import ServingStats
 
 
 class BatchedLatencyEstimator:
@@ -111,11 +111,6 @@ class ServingService:
         decisions with model-predicted latencies.
     clock:
         Injectable time source for the latency telemetry (tests use a fake).
-    recorder:
-        Optional externally owned :class:`LatencyRecorder`.  A cluster
-        shard passes its own so telemetry survives the service being
-        rebuilt (e.g. after every row migrates away); by default the
-        service owns a fresh one.
     monitor:
         Optional drift monitor (anything with a
         ``record(queries, hints, expected, measured)`` method, e.g. a
@@ -124,18 +119,20 @@ class ServingService:
         can watch live residuals without sitting on the serve path.
     journal:
         Optional write-ahead journal
-        (:class:`~repro.durability.ShardJournal`), riding the same seam as
-        ``recorder``: externally owned, survives service rebuilds.  It is
+        (:class:`~repro.durability.ShardJournal`): externally owned, it
+        survives service rebuilds.  It is
         attached to the *matrix*, so every mutation -- including ones that
         bypass this service, like re-exploration -- is logged before it
         applies; :meth:`record_measured` additionally journals executed
         decisions for audit.
     telemetry:
-        Optional :class:`~repro.telemetry.Telemetry`.  Only an *enabled*
-        one is kept (``Telemetry.enabled()``): the service then feeds the
-        registry's serving counters and per-stage latency histograms, and
-        stamps traces.  Disabled or absent, the hot path is byte-identical
-        to an uninstrumented service.
+        Optional :class:`~repro.telemetry.Telemetry`.  The serving
+        counters behind :meth:`stats` always live in its registry (a
+        fresh disabled one when absent), under its shard label, so a
+        service rebuilt on the same context keeps counting where the old
+        one stopped.  Only an *enabled* one (``Telemetry.enabled()``) also
+        records per-stage latency histograms and stamps traces; decisions
+        are byte-identical either way.
     """
 
     def __init__(
@@ -146,7 +143,6 @@ class ServingService:
         refresher: Optional[IncrementalALSRefresher] = None,
         estimator: Optional[BatchedLatencyEstimator] = None,
         clock=time.perf_counter,
-        recorder: Optional[LatencyRecorder] = None,
         monitor=None,
         journal=None,
         telemetry: Optional[Telemetry] = None,
@@ -172,20 +168,13 @@ class ServingService:
                 journal.log_import(matrix_to_jsonable(matrix.to_dict()))
             matrix.journal = journal
         self._clock = clock
-        self._recorder = recorder if recorder is not None else LatencyRecorder()
-        # Normalised once here: the hot path's only telemetry cost when
+        context = telemetry if telemetry is not None else Telemetry()
+        self._metrics = context.serving_metrics()
+        # Normalised once here: the hot path's only tracing cost when
         # disabled is a single attribute-is-None check.
-        self._telemetry = (
-            telemetry
-            if telemetry is not None and telemetry.config.enabled
-            else None
-        )
+        self._telemetry = context if context.config.enabled else None
         if self._telemetry is not None:
-            metrics = self._telemetry.serving_metrics()
-            self._recorder.bind_metrics(metrics)
-            # The recorder mirrors lazily; exports flush it first.
-            self._telemetry.register_sync(self._recorder.sync_metrics)
-            self.cache.bind_telemetry(self._telemetry, metrics, clock)
+            self.cache.bind_telemetry(self._telemetry, self._metrics, clock)
             if journal is not None:
                 journal.bind_telemetry(self._telemetry, clock)
 
@@ -213,15 +202,14 @@ class ServingService:
                 predicted_latency=predicted,
             )
         elapsed = self._clock() - start
-        self._recorder.record(
+        self._metrics.record_batch(
             decisions.batch_size, elapsed, decisions.non_default_count
         )
         tel = self._telemetry
         if tel is not None and tel.tracer._current is not None:
             # Stage attribution only inside an open trace (the ingress
-            # path): a raw serve_batch already feeds repro_batch_seconds
-            # through the recorder mirror, and skipping the per-batch
-            # stage observe keeps enabled overhead within the <=5% gate.
+            # path): skipping the per-batch stage observe on a raw
+            # serve_batch keeps enabled overhead within the <=5% gate.
             tel.tracer.record_stage("shard.serve", elapsed)
         return decisions
 
@@ -256,7 +244,7 @@ class ServingService:
             and self.matrix.version != version_before
         ):
             self.refresher.refresh(self.matrix)
-            self._recorder.record_refresh()
+            self._metrics.refreshes.inc()
 
     def record_measured(
         self,
@@ -334,13 +322,8 @@ class ServingService:
         self.refresher.refresh(self.matrix)
         ran = (self.refresher.cold_solves + self.refresher.warm_refreshes) > before
         if ran:
-            self._recorder.record_refresh()
+            self._metrics.refreshes.inc()
         return ran
-
-    @property
-    def recorder(self) -> LatencyRecorder:
-        """The raw latency recorder (cluster aggregators pool these)."""
-        return self._recorder
 
     # -- telemetry ----------------------------------------------------------------
     @property
@@ -349,18 +332,9 @@ class ServingService:
         return self._telemetry
 
     def record_shed(self, count: int = 1) -> None:
-        """Count admission-control shed arrivals.
-
-        The blessed mutation path: dual-writes the recorder and (when
-        bound) the registry mirror, without the deprecation warning that
-        direct :meth:`LatencyRecorder.record_shed` calls now carry.
-        """
-        self._recorder.record_shed(count, _blessed=True)
+        """Count admission-control shed arrivals."""
+        self._metrics.shed.inc(count)
 
     def stats(self) -> ServingStats:
-        """Throughput / latency / hit-rate report over everything served."""
-        return self._recorder.report()
-
-    def reset_stats(self) -> None:
-        """Zero the telemetry (the decision arrays are untouched)."""
-        self._recorder.reset()
+        """Throughput / hit-rate report over everything served."""
+        return ServingStats.of(self._metrics)

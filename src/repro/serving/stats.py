@@ -1,30 +1,19 @@
-"""Serving-side telemetry: throughput, decision-latency percentiles, hit rate.
+"""Serving-side report: throughput, hit rate, refresh and shed counts.
 
-A production hint-recommendation service lives or dies by two numbers: how
-many decisions per second it sustains, and how long a single arrival waits
-for its decision.  :class:`LatencyRecorder` accumulates per-batch timings as
-they happen (cheap appends on the hot path); :class:`ServingStats` is the
-immutable report derived from them on demand.
+The counters behind it live in the metrics registry: each service (or
+cluster shard) resolves one set of :class:`~repro.telemetry.ServingMetrics`
+children at construction and bumps them once per batch.
+:class:`ServingStats` is the immutable view :meth:`ServingStats.of` reads
+from those children, so both memory and report cost stay constant over
+any uptime.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Union
 
-import numpy as np
-
-from ..telemetry.runtime import (
-    BATCH_SECONDS,
-    BATCHES_TOTAL,
-    DECISIONS_TOTAL,
-    NON_DEFAULT_TOTAL,
-    REFRESHES_TOTAL,
-    SHED_TOTAL,
-    WALL_SECONDS_TOTAL,
-    ServingMetrics,
-)
+from ..telemetry.runtime import ServingMetrics
 
 
 @dataclass(frozen=True)
@@ -39,10 +28,6 @@ class ServingStats:
         Total decision time (excludes caller think-time between batches).
     throughput_qps:
         ``decisions / wall_seconds``.
-    p50_latency_s / p99_latency_s:
-        Percentiles of the *per-decision* latency: each decision in a batch
-        is charged the batch's wall time divided by its size, which is the
-        amortised latency an arrival experiences under batched execution.
     non_default_fraction:
         Fraction of decisions answered with a verified non-default plan --
         the regression-guarantee hit rate (every non-default answer carries
@@ -54,370 +39,93 @@ class ServingStats:
         (:mod:`repro.ingress` load-shedding) instead of the decision
         arrays.  Shed answers are valid decisions -- the no-regression
         guarantee is anchored on the default plan -- but they never touch
-        the snapshot, so they are counted here and *not* in ``decisions``
-        or the latency percentiles.
+        the snapshot, so they are counted here and *not* in ``decisions``.
     """
 
     decisions: int
     batches: int
     wall_seconds: float
     throughput_qps: float
-    p50_latency_s: float
-    p99_latency_s: float
     non_default_fraction: float
     refreshes: int
     shed: int = 0
 
-    def as_dict(self, registry=None) -> Dict[str, Union[int, float, Dict]]:
-        """Plain dictionary for dashboards and log lines.
-
-        Counters (``decisions``, ``batches``, ``refreshes``) stay integers;
-        only the genuinely continuous fields are floats.  With a
-        :class:`~repro.telemetry.MetricsRegistry` passed, the dictionary
-        gains a ``telemetry`` section: the same report rebuilt from the
-        registry mirror (:meth:`from_registry`) plus a ``consistent`` flag
-        asserting the two counter sets agree -- the drift alarm between the
-        legacy recorder and the registry.
-        """
-        out: Dict[str, Union[int, float, Dict]] = {
-            "decisions": int(self.decisions),
-            "batches": int(self.batches),
-            "wall_seconds": self.wall_seconds,
-            "throughput_qps": self.throughput_qps,
-            "p50_latency_s": self.p50_latency_s,
-            "p99_latency_s": self.p99_latency_s,
-            "non_default_fraction": self.non_default_fraction,
-            "refreshes": int(self.refreshes),
-            "shed": int(self.shed),
-        }
-        if registry is not None:
-            mirror = ServingStats.from_registry(registry)
-            section = mirror.as_dict()
-            section["consistent"] = (
-                mirror.decisions == self.decisions
-                and mirror.batches == self.batches
-                and mirror.refreshes == self.refreshes
-                and mirror.shed == self.shed
-            )
-            out["telemetry"] = section
-        return out
+    @classmethod
+    def _from_counts(
+        cls,
+        decisions: int,
+        batches: int,
+        wall: float,
+        non_default: int,
+        refreshes: int,
+        shed: int,
+    ) -> "ServingStats":
+        if decisions == 0:
+            throughput = 0.0
+        else:
+            throughput = decisions / wall if wall > 0 else float("inf")
+        return cls(
+            decisions=int(decisions),
+            batches=int(batches),
+            wall_seconds=float(wall),
+            throughput_qps=throughput,
+            non_default_fraction=non_default / decisions if decisions else 0.0,
+            refreshes=int(refreshes),
+            shed=int(shed),
+        )
 
     @classmethod
-    def from_registry(
-        cls, registry, shard: Optional[str] = None
-    ) -> "ServingStats":
-        """Rebuild the report from the registry's well-known serving metrics.
-
-        The counters (decisions, batches, wall time, refreshes, shed) are
-        exact -- :meth:`LatencyRecorder.sync_metrics` feeds them from the
-        same samples :meth:`LatencyRecorder.report` folds, and every cold
-        path that reads the registry syncs first.  The percentiles come
-        from the fixed-bucket
-        ``repro_batch_seconds`` histogram, so they are bucket-interpolated
-        estimates rather than the recorder's exact sample percentiles.
-        With ``shard`` given, only that label's children are read;
-        otherwise every shard's children are merged first.
-        """
-        if DECISIONS_TOTAL not in registry:
-            return cls(
-                decisions=0, batches=0, wall_seconds=0.0, throughput_qps=0.0,
-                p50_latency_s=0.0, p99_latency_s=0.0,
-                non_default_fraction=0.0, refreshes=0, shed=0,
-            )
-
-        def child(name):
-            family = registry.get(name)
-            return (
-                family.merged_child() if shard is None else family.labels(shard)
-            )
-
-        decisions = int(child(DECISIONS_TOTAL).value)
-        wall = float(child(WALL_SECONDS_TOTAL).value)
-        hist = child(BATCH_SECONDS)
-        if wall > 0:
-            throughput = decisions / wall
-        else:
-            throughput = 0.0 if decisions == 0 else float("inf")
-        return cls(
-            decisions=decisions,
-            batches=int(child(BATCHES_TOTAL).value),
-            wall_seconds=wall,
-            throughput_qps=throughput,
-            p50_latency_s=hist.quantile(0.50),
-            p99_latency_s=hist.quantile(0.99),
-            non_default_fraction=(
-                float(child(NON_DEFAULT_TOTAL).value) / decisions
-                if decisions
-                else 0.0
-            ),
-            refreshes=int(child(REFRESHES_TOTAL).value),
-            shed=int(child(SHED_TOTAL).value),
+    def of(cls, metrics: ServingMetrics) -> "ServingStats":
+        """Read the report from one label's registry children."""
+        return cls._from_counts(
+            decisions=int(metrics.decisions.value),
+            batches=int(metrics.batches.value),
+            wall=metrics.wall_seconds.value,
+            non_default=int(metrics.non_default.value),
+            refreshes=int(metrics.refreshes.value),
+            shed=int(metrics.shed.value),
         )
 
     @classmethod
     def merge(cls, parts: Iterable["ServingStats"]) -> "ServingStats":
         """Fold per-shard reports into one cluster-wide report.
 
-        Counters (decisions, batches, wall time, refreshes) merge exactly;
-        throughput and the hit rate are recomputed from the merged counters.
-        The percentiles are combined as a decision-weighted percentile of
-        the per-part percentiles -- exact when every part is internally
-        uniform, an approximation otherwise.  Aggregators holding the raw
-        recorders (:meth:`LatencyRecorder.merged`) can recompute them
-        exactly and overwrite these two fields.
+        Every field is a counter sum; throughput and the hit rate are
+        recomputed from the summed counters.
         """
         parts = list(parts)
-        decisions = sum(p.decisions for p in parts)
-        batches = sum(p.batches for p in parts)
-        wall = float(sum(p.wall_seconds for p in parts))
-        refreshes = sum(p.refreshes for p in parts)
-        shed = sum(p.shed for p in parts)
-        if decisions == 0:
-            return cls(
-                decisions=0,
-                batches=batches,
-                wall_seconds=wall,
-                throughput_qps=0.0,
-                p50_latency_s=0.0,
-                p99_latency_s=0.0,
-                non_default_fraction=0.0,
-                refreshes=refreshes,
-                shed=shed,
-            )
-        served = [p for p in parts if p.decisions > 0]
-        weights = [p.decisions for p in served]
-        p50 = _weighted_percentiles([p.p50_latency_s for p in served], weights, [50.0])[0]
-        p99 = _weighted_percentiles([p.p99_latency_s for p in served], weights, [99.0])[0]
-        non_default = sum(p.non_default_fraction * p.decisions for p in served)
-        return cls(
-            decisions=int(decisions),
-            batches=int(batches),
-            wall_seconds=wall,
-            throughput_qps=decisions / wall if wall > 0 else float("inf"),
-            p50_latency_s=float(p50),
-            p99_latency_s=float(p99),
-            non_default_fraction=float(non_default) / decisions,
-            refreshes=int(refreshes),
-            shed=int(shed),
+        return cls._from_counts(
+            decisions=sum(p.decisions for p in parts),
+            batches=sum(p.batches for p in parts),
+            wall=sum(p.wall_seconds for p in parts),
+            non_default=sum(
+                round(p.non_default_fraction * p.decisions) for p in parts
+            ),
+            refreshes=sum(p.refreshes for p in parts),
+            shed=sum(p.shed for p in parts),
         )
+
+    def as_dict(self) -> Dict[str, Union[int, float]]:
+        """Plain dictionary for dashboards and log lines.
+
+        Counters (``decisions``, ``batches``, ``refreshes``, ``shed``) stay
+        integers; only the genuinely continuous fields are floats.
+        """
+        return {
+            "decisions": int(self.decisions),
+            "batches": int(self.batches),
+            "wall_seconds": self.wall_seconds,
+            "throughput_qps": self.throughput_qps,
+            "non_default_fraction": self.non_default_fraction,
+            "refreshes": int(self.refreshes),
+            "shed": int(self.shed),
+        }
 
     def __str__(self) -> str:
         return (
             f"ServingStats({self.decisions} decisions in {self.batches} batches, "
             f"{self.throughput_qps:,.0f} qps, "
-            f"p50={self.p50_latency_s * 1e6:.1f}us, "
-            f"p99={self.p99_latency_s * 1e6:.1f}us, "
             f"hit_rate={self.non_default_fraction:.1%}, "
             f"refreshes={self.refreshes}, "
             f"shed={self.shed})"
         )
-
-
-def _weighted_percentiles(values, weights, qs) -> np.ndarray:
-    """Percentiles of a population where ``values[i]`` occurs ``weights[i]``
-    times, matching ``np.percentile`` (linear interpolation) on the expanded
-    array without allocating it.
-    """
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=np.int64)
-    order = np.argsort(values)
-    values = values[order]
-    # cumulative[i] is the 1-based end index of group i in the sorted
-    # expanded array; searchsorted recovers the group holding any index.
-    cumulative = np.cumsum(weights[order])
-    total = int(cumulative[-1])
-    out = np.empty(len(qs))
-    for i, q in enumerate(qs):
-        position = q / 100.0 * (total - 1)
-        low = int(np.floor(position))
-        high = int(np.ceil(position))
-        value_low = values[np.searchsorted(cumulative, low + 1)]
-        value_high = values[np.searchsorted(cumulative, high + 1)]
-        out[i] = value_low + (position - low) * (value_high - value_low)
-    return out
-
-
-class LatencyRecorder:
-    """Accumulates batch timings; hot-path cost is three list appends.
-
-    With a metrics mirror bound (:meth:`bind_metrics`), the registry's
-    well-known serving counters are fed from the same per-batch samples
-    this recorder keeps -- but lazily: :meth:`sync_metrics` pushes the
-    delta since the last sync, and runs from every cold path that reads
-    the registry (:meth:`report`, :meth:`Telemetry.snapshot`,
-    :meth:`Telemetry.expose_text`).  The hot path therefore stays the
-    original three list appends whether or not a mirror is bound, and
-    :meth:`ServingStats.from_registry` still cannot drift from
-    :meth:`report` -- both views derive from the same samples.  Registry
-    counters are monotonic: :meth:`reset` flushes pending deltas and
-    clears only the recorder's samples, never the mirror.
-    """
-
-    def __init__(self) -> None:
-        self._batch_sizes: List[int] = []
-        self._batch_seconds: List[float] = []
-        self._non_default: List[int] = []
-        self._refreshes = 0
-        self._shed = 0
-        self._metrics: Optional[ServingMetrics] = None
-        # Sync watermarks: how much of the sample history has already been
-        # pushed into the bound mirror.
-        self._synced_batches = 0
-        self._synced_refreshes = 0
-        self._synced_shed = 0
-
-    def bind_metrics(self, metrics: ServingMetrics) -> None:
-        """Mirror this recorder's samples into the registry's serving counters.
-
-        Once bound, the registry is the mutation authority for the shared
-        counters: external callers must go through the owning service's
-        blessed hooks (e.g. :meth:`ServingService.record_shed`) instead of
-        mutating this recorder directly.  On the *first* bind the
-        watermarks skip any pre-bind history (the registry mirrors what
-        happened under its watch); a rebind (the shard rebuilding its
-        service around the same recorder) keeps the watermarks so nothing
-        is double-counted or lost.
-        """
-        first = self._metrics is None
-        self._metrics = metrics
-        if first:
-            self._synced_batches = len(self._batch_sizes)
-            self._synced_refreshes = self._refreshes
-            self._synced_shed = self._shed
-
-    def sync_metrics(self) -> None:
-        """Push samples recorded since the last sync into the mirror."""
-        m = self._metrics
-        if m is None:
-            return
-        start = self._synced_batches
-        sizes = self._batch_sizes[start:]
-        if sizes:
-            self._synced_batches = len(self._batch_sizes)
-            seconds = self._batch_seconds[start:]
-            m.batches.inc(len(sizes))
-            m.wall_seconds.inc(float(np.sum(seconds)))
-            decisions = int(np.sum(sizes))
-            if decisions:
-                m.decisions.inc(decisions)
-                m.non_default.inc(int(np.sum(self._non_default[start:])))
-                hist = m.batch_seconds
-                for size, secs in zip(sizes, seconds):
-                    if size:
-                        # One weighted observe per batch: every decision is
-                        # charged the batch's amortised latency, matching
-                        # report()'s per-decision percentile population.
-                        hist.observe(secs / size, size)
-        refreshes = self._refreshes - self._synced_refreshes
-        if refreshes:
-            m.refreshes.inc(refreshes)
-            self._synced_refreshes = self._refreshes
-        shed = self._shed - self._synced_shed
-        if shed:
-            m.shed.inc(shed)
-            self._synced_shed = self._shed
-
-    def record(self, batch_size: int, seconds: float, non_default: int) -> None:
-        """Log one served batch."""
-        self._batch_sizes.append(int(batch_size))
-        self._batch_seconds.append(float(seconds))
-        self._non_default.append(int(non_default))
-
-    def record_refresh(self) -> None:
-        """Log one model/cache refresh."""
-        self._refreshes += 1
-
-    def record_shed(self, count: int = 1, _blessed: bool = False) -> None:
-        """Log arrivals degraded to default plans by admission control.
-
-        .. deprecated::
-            Calling this directly while a registry mirror is bound.  The
-            registry is then the mutation authority; use
-            :meth:`ServingService.record_shed` /
-            :meth:`ServingCluster.record_shed` instead (they stay
-            mirrored and keep ``from_registry`` consistent).
-        """
-        if self._metrics is not None and not _blessed:
-            warnings.warn(
-                "mutating LatencyRecorder counters directly is deprecated "
-                "once a metrics registry mirror is bound; call "
-                "ServingService.record_shed / ServingCluster.record_shed "
-                "instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self._shed += int(count)
-
-    def report(self) -> ServingStats:
-        """Fold the accumulated timings into a :class:`ServingStats`."""
-        self.sync_metrics()
-        sizes = np.asarray(self._batch_sizes, dtype=float)
-        seconds = np.asarray(self._batch_seconds, dtype=float)
-        decisions = int(sizes.sum())
-        wall = float(seconds.sum())
-        if decisions == 0:
-            return ServingStats(
-                decisions=0,
-                batches=0,
-                wall_seconds=0.0,
-                throughput_qps=0.0,
-                p50_latency_s=0.0,
-                p99_latency_s=0.0,
-                non_default_fraction=0.0,
-                refreshes=self._refreshes,
-                shed=self._shed,
-            )
-        # Each decision in a batch experiences the batch's amortised latency,
-        # so the percentiles are over a weighted population (one value per
-        # batch, weighted by its size) -- computed without materialising the
-        # O(decisions) expanded array.
-        nonempty = sizes > 0
-        p50, p99 = _weighted_percentiles(
-            seconds[nonempty] / sizes[nonempty], sizes[nonempty], [50.0, 99.0]
-        )
-        return ServingStats(
-            decisions=decisions,
-            batches=len(self._batch_sizes),
-            wall_seconds=wall,
-            throughput_qps=decisions / wall if wall > 0 else float("inf"),
-            p50_latency_s=float(p50),
-            p99_latency_s=float(p99),
-            non_default_fraction=float(sum(self._non_default)) / decisions,
-            refreshes=self._refreshes,
-            shed=self._shed,
-        )
-
-    def reset(self) -> None:
-        """Drop all accumulated timings (refresh and shed counts included).
-
-        Pending deltas are flushed to the mirror first, so a reset never
-        loses registry counts -- the registry stays monotonic while the
-        recorder's own view restarts from zero.
-        """
-        self.sync_metrics()
-        self._batch_sizes.clear()
-        self._batch_seconds.clear()
-        self._non_default.clear()
-        self._refreshes = 0
-        self._shed = 0
-        self._synced_batches = 0
-        self._synced_refreshes = 0
-        self._synced_shed = 0
-
-    @classmethod
-    def merged(cls, recorders: Sequence["LatencyRecorder"]) -> "LatencyRecorder":
-        """Pool raw batch samples from many recorders into a fresh one.
-
-        Unlike :meth:`ServingStats.merge`, the pooled recorder's
-        :meth:`report` computes the global percentiles *exactly* -- this is
-        what the cluster aggregator uses when it holds every shard
-        in-process and the raw samples are still available.
-        """
-        pooled = cls()
-        for recorder in recorders:
-            pooled._batch_sizes.extend(recorder._batch_sizes)
-            pooled._batch_seconds.extend(recorder._batch_seconds)
-            pooled._non_default.extend(recorder._non_default)
-            pooled._refreshes += recorder._refreshes
-            pooled._shed += recorder._shed
-        return pooled

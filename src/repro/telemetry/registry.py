@@ -20,9 +20,8 @@ Three design rules keep the registry usable on the serve hot path:
 
 Mutating a metric's value *directly* (``counter.value = 5``) is not
 possible -- ``value`` is a read-only property.  The registry is the
-single mutation authority; legacy counter paths
-(:class:`repro.serving.stats.LatencyRecorder`) dual-write through it and
-warn on direct external mutation once a registry mirror is bound.
+single store and mutation authority for every serving and cluster
+counter; ``stats()`` reports are views over its children.
 """
 
 from __future__ import annotations
@@ -107,9 +106,7 @@ class Histogram:
 
     ``bounds`` are inclusive upper bounds; one implicit ``+Inf`` bucket
     catches the tail.  ``observe(value, weight)`` charges ``weight``
-    occurrences of ``value`` -- the serving layer uses this to record a
-    batch's amortised per-decision latency once per batch, weighted by
-    batch size, instead of looping per decision.
+    occurrences of ``value`` in one call.
     """
 
     __slots__ = ("bounds", "counts", "total", "count")

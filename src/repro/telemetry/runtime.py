@@ -1,14 +1,19 @@
 """The `Telemetry` facade: one object components share to emit metrics.
 
 Construction cost is paid once; hot paths only ever touch pre-resolved
-metric children.  Components accept ``telemetry=None`` and normalise at
-construction time::
+metric children.  The registry is the one store for the serving and
+cluster counters, on and off: a component built without a ``Telemetry``
+resolves its :class:`ServingMetrics` / :class:`ClusterMetrics` children
+from a fresh disabled one's registry, so ``stats()`` always reads the
+same place.  Tracing and the stage histograms are gated on
+``config.enabled``, normalised once at construction::
 
-    self._telemetry = telemetry if telemetry is not None and telemetry.config.enabled else None
+    context = telemetry if telemetry is not None else Telemetry()
+    self._telemetry = context if context.config.enabled else None
 
-so the disabled path is a single ``if self._telemetry is not None``
-branch -- byte-identical behaviour, zero extra allocations (regression-
-tested in ``tests/test_telemetry.py``).
+so the disabled tracing path is a single ``if self._telemetry is not
+None`` branch -- byte-identical decisions, zero extra allocations in the
+batched lookup (regression-tested in ``tests/test_telemetry.py``).
 
 Per-shard usage: each shard gets its own ``Telemetry`` view (via
 :meth:`Telemetry.labeled`) with its shard id as the default label; the
@@ -31,7 +36,6 @@ NON_DEFAULT_TOTAL = "repro_non_default_total"
 REFRESHES_TOTAL = "repro_refreshes_total"
 SHED_TOTAL = "repro_shed_total"
 WALL_SECONDS_TOTAL = "repro_serve_wall_seconds_total"
-BATCH_SECONDS = "repro_batch_seconds"
 STAGE_SECONDS = "repro_stage_seconds"
 CACHE_REBUILDS_TOTAL = "repro_cache_rebuilds_total"
 WAL_RECORDS_TOTAL = "repro_wal_records_total"
@@ -58,9 +62,10 @@ SCHEDULER_BUDGET_GAUGE = "repro_scheduler_budget_per_tick"
 class Telemetry:
     """Shared observability context: config + registry + tracer.
 
-    Disabled (the :class:`~repro.config.TelemetryConfig` default) it is
-    inert: components that receive it check ``config.enabled`` once at
-    construction and keep no reference, so no instrumentation runs.
+    Disabled (the :class:`~repro.config.TelemetryConfig` default) its
+    tracer is inert: components check ``config.enabled`` once at
+    construction and trace nothing.  Its registry still holds the serving
+    and cluster counters those components keep.
     """
 
     def __init__(
@@ -82,9 +87,6 @@ class Telemetry:
             ring_size=self.config.trace_ring,
         )
         self._bounds = self.config.latency_buckets
-        # Lazy-mirror flush hooks (e.g. LatencyRecorder.sync_metrics),
-        # run before any registry export so deferred counters are current.
-        self._sync_fns: list = []
 
     @classmethod
     def enabled(cls, config: Optional[TelemetryConfig] = None) -> "Telemetry":
@@ -129,7 +131,6 @@ class Telemetry:
         view.shard_label = str(shard_label)
         view.tracer = self.tracer
         view._bounds = self._bounds
-        view._sync_fns = self._sync_fns
         return view
 
     def merged_registry(
@@ -152,31 +153,11 @@ class Telemetry:
         """The well-known cluster facade counters and topology gauges."""
         return ClusterMetrics(self)
 
-    # -- deferred-mirror flushing -------------------------------------------
-    def register_sync(self, fn) -> None:
-        """Register a flush hook run before every registry export.
-
-        Components whose mirrors are fed lazily (the
-        :class:`~repro.serving.stats.LatencyRecorder` pushes counter
-        deltas on cold paths only, keeping the serve hot path untouched)
-        register their flush here so :meth:`snapshot` and
-        :meth:`expose_text` always export current numbers.
-        """
-        if fn not in self._sync_fns:
-            self._sync_fns.append(fn)
-
-    def sync(self) -> None:
-        """Run every registered flush hook (idempotent)."""
-        for fn in self._sync_fns:
-            fn()
-
     # -- export -------------------------------------------------------------
     def expose_text(self) -> str:
-        self.sync()
         return self.registry.expose_text()
 
     def snapshot(self) -> Dict[str, Any]:
-        self.sync()
         return {
             "registry": self.registry.snapshot(),
             "traces": self.tracer.snapshot(),
@@ -197,13 +178,11 @@ class ServingMetrics:
         "refreshes",
         "shed",
         "wall_seconds",
-        "batch_seconds",
         "cache_rebuilds",
     )
 
     def __init__(self, telemetry: Telemetry, shard: str) -> None:
         reg = telemetry.registry
-        bounds = telemetry.config.latency_buckets
         self.decisions = reg.counter(
             DECISIONS_TOTAL, "Hint decisions served.", labels=("shard",)
         ).labels(shard)
@@ -226,17 +205,18 @@ class ServingMetrics:
             "Total serve_batch wall time (decision work only).",
             labels=("shard",),
         ).labels(shard)
-        self.batch_seconds = reg.histogram(
-            BATCH_SECONDS,
-            "Amortised per-decision serve latency, weighted by batch size.",
-            labels=("shard",),
-            bounds=bounds,
-        ).labels(shard)
         self.cache_rebuilds = reg.counter(
             CACHE_REBUILDS_TOTAL,
             "Batch-cache snapshot rebuilds (version invalidations).",
             labels=("shard",),
         ).labels(shard)
+
+    def record_batch(self, size: int, seconds: float, non_default: int) -> None:
+        """Count one served batch: the serve hot path's only counter work."""
+        self.batches.inc()
+        self.decisions.inc(size)
+        self.non_default.inc(non_default)
+        self.wall_seconds.inc(seconds)
 
 
 class JournalMetrics:

@@ -12,8 +12,6 @@ The load-bearing properties:
   shards, and never runs ALS on the serve path.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +23,6 @@ from repro.cluster import (
     RefreshScheduler,
     RendezvousRouter,
     ServingCluster,
-    aggregate_shard_stats,
     degraded_decisions,
     parallel_throughput_qps,
     routing_key,
@@ -36,7 +33,8 @@ from repro.core.plan_cache import PlanCache
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import ClusterError, MatrixError
 from repro.experiments.cluster import cluster_vs_single_comparison, populate_cluster
-from repro.serving import LatencyRecorder, ServingService, ServingStats
+from repro.serving import ServingService, ServingStats
+from repro.telemetry import Telemetry
 
 
 def make_union_matrix(n=40, k=8, seed=3, censored=True):
@@ -64,6 +62,16 @@ def make_cluster(matrix, n_shards=3, tenant="acme", **kwargs):
     )
     populate_cluster(cluster, tenant, matrix)
     return cluster
+
+
+def stats_of(batches, refreshes=0):
+    """The report of a fresh counter set fed ``(size, seconds, non_default)``
+    batches through the serve path's own counter update."""
+    metrics = Telemetry().serving_metrics()
+    for size, seconds, non_default in batches:
+        metrics.record_batch(size, seconds, non_default)
+    metrics.refreshes.inc(refreshes)
+    return ServingStats.of(metrics)
 
 
 # -- routing ---------------------------------------------------------------------
@@ -197,19 +205,48 @@ class TestClusterShard:
         shard.add_rows(["t/q2"])
         assert shard.n_rows == 1
 
-    def test_telemetry_survives_full_row_retirement(self):
-        shard = ClusterShard(0, 4)
-        shard.add_rows(["t/q0"])
-        shard.observe_local([0], [0], [1.0])
-        shard.serve_local(np.array([0, 0]))
-        assert shard.stats().decisions == 2
-        shard.remove_rows(["t/q0"])
-        # Counters are monotonic: retiring the rows keeps the history.
-        assert shard.stats().decisions == 2
-        shard.add_rows(["t/q9"])
-        shard.observe_local([0], [0], [2.0])
-        shard.serve_local(np.array([0]))
-        assert shard.stats().decisions == 3
+    def test_telemetry_survives_full_row_retirement(self, tmp_path):
+        for make_telemetry in (lambda: None, Telemetry.enabled):
+            shard = ClusterShard(0, 4, telemetry=make_telemetry())
+            shard.add_rows(["t/q0"])
+            shard.observe_local([0], [0], [1.0])
+            shard.serve_local(np.array([0, 0]))
+            assert shard.stats().decisions == 2
+            shard.remove_rows(["t/q0"])
+            # Counters are monotonic: retiring the rows keeps the history.
+            assert shard.stats().decisions == 2
+            shard.add_rows(["t/q9"])
+            shard.observe_local([0], [0], [2.0])
+            shard.serve_local(np.array([0]))
+            assert shard.stats().decisions == 3
+
+            # Crash and recovery: the restarted shard resolves the same
+            # registry children, so its counts carry over.
+            telemetry = make_telemetry()
+            cluster = ServingCluster(
+                2,
+                4,
+                durability_dir=str(tmp_path / str(telemetry is None)),
+                telemetry=telemetry,
+            )
+            cluster.add_tenant("t", [f"q{i}" for i in range(8)])
+            cluster.observe_batch("t", range(8), [0] * 8, [1.0] * 8)
+            cluster.serve_all("t")
+            before = {sid: s.stats() for sid, s in cluster.shards.items()}
+            assert sum(s.decisions for s in before.values()) == 8
+            assert before[0].decisions > 0
+            cluster.kill_shard(0)
+            cluster.serve_all("t")  # shard 0's rows degrade, uncounted
+            assert cluster.shards[0].stats() == before[0]
+            cluster.restart_shard(0)
+            assert cluster.shards[0].stats() == before[0]
+            cluster.serve_all("t")
+            stats = cluster.stats()
+            assert stats.per_shard[0].decisions == 2 * before[0].decisions
+            assert stats.cluster.decisions == 24 - before[0].decisions
+            assert stats.degraded_decisions == before[0].decisions
+            assert (stats.crashes, stats.restarts) == (1, 1)
+            cluster.close()
 
     def test_cluster_decisions_monotonic_across_rebalance(self):
         cluster = ServingCluster(n_shards=1, n_hints=4)
@@ -588,22 +625,16 @@ class TestRefreshScheduler:
 
 class TestStats:
     def test_as_dict_keeps_counters_integral(self):
-        recorder = LatencyRecorder()
-        recorder.record(4, 0.5, 1)
-        recorder.record_refresh()
-        payload = recorder.report().as_dict()
+        payload = stats_of([(4, 0.5, 1)], refreshes=1).as_dict()
         assert payload["decisions"] == 4 and isinstance(payload["decisions"], int)
         assert payload["batches"] == 1 and isinstance(payload["batches"], int)
         assert payload["refreshes"] == 1 and isinstance(payload["refreshes"], int)
         assert isinstance(payload["throughput_qps"], float)
 
     def test_merge_counters_exact(self):
-        a = LatencyRecorder()
-        a.record(10, 1.0, 5)
-        a.record_refresh()
-        b = LatencyRecorder()
-        b.record(30, 1.0, 6)
-        merged = ServingStats.merge([a.report(), b.report()])
+        a = stats_of([(10, 1.0, 5)], refreshes=1)
+        b = stats_of([(30, 1.0, 6)])
+        merged = ServingStats.merge([a, b])
         assert merged.decisions == 40
         assert merged.batches == 2
         assert merged.refreshes == 1
@@ -612,34 +643,11 @@ class TestStats:
         assert merged.non_default_fraction == pytest.approx(11 / 40)
 
     def test_merge_of_empty_parts(self):
-        empty = LatencyRecorder().report()
+        empty = stats_of([])
         merged = ServingStats.merge([empty, empty])
         assert merged.decisions == 0
         assert merged.throughput_qps == 0.0
         assert ServingStats.merge([]).decisions == 0
-
-    def test_merged_recorders_give_exact_percentiles(self):
-        rng = np.random.default_rng(2)
-        recorders, all_sizes, all_seconds = [], [], []
-        for _ in range(3):
-            recorder = LatencyRecorder()
-            sizes = rng.integers(1, 20, 8)
-            seconds = rng.random(8) * 1e-3
-            for size, sec in zip(sizes, seconds):
-                recorder.record(int(size), float(sec), 0)
-            recorders.append(recorder)
-            all_sizes.extend(sizes.tolist())
-            all_seconds.extend(seconds.tolist())
-        pooled = LatencyRecorder.merged(recorders).report()
-        expanded = np.repeat(
-            np.asarray(all_seconds) / np.asarray(all_sizes), all_sizes
-        )
-        assert pooled.p50_latency_s == pytest.approx(
-            np.percentile(expanded, 50.0)
-        )
-        assert pooled.p99_latency_s == pytest.approx(
-            np.percentile(expanded, 99.0)
-        )
 
     def test_cluster_stats_aggregation(self):
         union = make_union_matrix(n=40)
@@ -659,24 +667,47 @@ class TestStats:
         assert payload["cluster"]["decisions"] == stats.cluster.decisions
         assert str(stats).startswith("ClusterStats(")
 
-    def test_aggregate_uses_exact_pooled_percentiles(self):
-        union = make_union_matrix(n=40)
-        cluster = make_cluster(union, n_shards=2)
-        cluster.serve_all("acme")
-        exact = LatencyRecorder.merged(
-            [s.recorder() for s in cluster.shards.values()]
-        ).report()
-        aggregated = aggregate_shard_stats(cluster.shards.values())
-        assert aggregated.p50_latency_s == exact.p50_latency_s
-        assert aggregated.p99_latency_s == exact.p99_latency_s
+    def test_counters_agree_with_telemetry_on_and_off(self, tmp_path):
+        timings = {"wall_seconds", "throughput_qps", "parallel_qps"}
+
+        def counters(payload):
+            if not isinstance(payload, dict):
+                return payload
+            return {
+                k: counters(v) for k, v in payload.items() if k not in timings
+            }
+
+        def run(telemetry, directory):
+            rng = np.random.default_rng(17)
+            cluster = make_cluster(
+                make_union_matrix(n=40),
+                durability_dir=str(directory),
+                telemetry=telemetry,
+            )
+            for step in range(6):
+                batch = rng.integers(0, 40, size=12)
+                decisions = cluster.serve_batch("acme", batch)
+                cluster.observe_batch(
+                    "acme", batch, decisions.hints, rng.uniform(0.5, 20.0, 12)
+                )
+                cluster.record_shed(step)
+                if step == 2:
+                    cluster.kill_shard(1)
+                if step == 4:
+                    cluster.restart_shard(1)
+                cluster.tick()
+            payload = cluster.stats().as_dict()
+            cluster.close()
+            return payload
+
+        off = run(None, tmp_path / "off")
+        on = run(Telemetry.enabled(), tmp_path / "on")
+        assert off["restarts"] == 1 and off["queued_feedback"] > 0
+        assert counters(on) == counters(off)
 
     def test_parallel_throughput_model(self):
-        fast = dataclasses.replace(
-            LatencyRecorder().report(), decisions=100, wall_seconds=1.0
-        )
-        slow = dataclasses.replace(
-            LatencyRecorder().report(), decisions=100, wall_seconds=2.0
-        )
+        fast = stats_of([(100, 1.0, 0)])
+        slow = stats_of([(100, 2.0, 0)])
         qps = parallel_throughput_qps({0: fast, 1: slow})
         assert qps == pytest.approx(200 / 2.0)
         assert parallel_throughput_qps({}) == 0.0

@@ -1,4 +1,4 @@
-"""Telemetry: registry algebra, tracing, hot-path cost, stats mirrors.
+"""Telemetry: registry algebra, tracing, hot-path cost, stats views.
 
 The merge law is the load-bearing property: because every histogram of a
 family shares fixed bucket bounds, ``merge(a, b)`` must be *exactly*
@@ -14,10 +14,8 @@ The other contracts under test:
   batched lookup hot path (the service normalises a disabled telemetry
   object to ``None`` and takes the identical branch),
 * decisions are byte-identical with telemetry on vs off,
-* ``ServingStats.from_registry`` / ``ClusterStats.from_registry``
-  agree with the recorder-backed reports (the dual-write mirror),
-* direct ``record_shed`` outside the blessed paths warns once a
-  registry mirror is bound,
+* ``ServingService.stats()`` / ``ServingCluster.stats()`` read the
+  registry's counter children -- the one store, on and off,
 * ``configure_logging`` reconfigures its own handler on repeated calls
   and ``json_logs=True`` emits one parseable dict per line.
 """
@@ -29,7 +27,6 @@ import io
 import json
 import logging
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -39,11 +36,10 @@ from hypothesis import strategies as st
 from repro.config import TelemetryConfig
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.cluster.cluster import ServingCluster
-from repro.cluster.stats import ClusterStats
 from repro.errors import TelemetryError
 from repro.logging_util import JsonFormatter, configure_logging, get_logger
 from repro.serving.service import ServingService
-from repro.serving.stats import LatencyRecorder, ServingStats
+from repro.serving.stats import ServingStats
 from repro.telemetry import (
     DEFAULT_BUCKETS,
     OVERFLOW_LABEL,
@@ -303,7 +299,7 @@ class TestExposition:
         reg.counter(
             "repro_decisions_total", "Decisions served.", labels=("shard",)
         ).labels("0").inc(7)
-        hist = reg.histogram("repro_batch_seconds", bounds=(0.1, 1.0))
+        hist = reg.histogram("repro_example_seconds", bounds=(0.1, 1.0))
         hist.child.observe(0.05)
         hist.child.observe(0.5)
         hist.child.observe(5.0)
@@ -311,12 +307,12 @@ class TestExposition:
         assert "# HELP repro_decisions_total Decisions served." in text
         assert "# TYPE repro_decisions_total counter" in text
         assert 'repro_decisions_total{shard="0"} 7' in text
-        assert "# TYPE repro_batch_seconds histogram" in text
+        assert "# TYPE repro_example_seconds histogram" in text
         # Cumulative buckets: 1 at le=0.1, 2 at le=1.0, 3 at +Inf.
-        assert 'repro_batch_seconds_bucket{le="0.1"} 1' in text
-        assert 'repro_batch_seconds_bucket{le="1.0"} 2' in text
-        assert 'repro_batch_seconds_bucket{le="+Inf"} 3' in text
-        assert "repro_batch_seconds_count 3" in text
+        assert 'repro_example_seconds_bucket{le="0.1"} 1' in text
+        assert 'repro_example_seconds_bucket{le="1.0"} 2' in text
+        assert 'repro_example_seconds_bucket{le="+Inf"} 3' in text
+        assert "repro_example_seconds_count 3" in text
         assert "repro_label_overflows_total 0" in text
 
     def test_snapshot_is_json_ready(self):
@@ -410,7 +406,6 @@ class TestHotPath:
         # stages only attribute inside an open trace (see ingress test).
         stage = tel.registry.get("repro_stage_seconds")
         assert {key[0] for key, _ in stage.children()} == {"observe"}
-        tel.sync()  # counters mirror lazily; exports flush first
         decisions = tel.registry.get("repro_decisions_total").merged_child()
         assert decisions.value == served
 
@@ -448,7 +443,7 @@ class TestHotPath:
 
 
 class TestStatsMirror:
-    def test_service_from_registry_matches_recorder(self, fast_als_config):
+    def test_service_stats_read_registry_children(self, fast_als_config):
         from repro.serving.refresh import IncrementalALSRefresher
 
         tel = Telemetry.enabled()
@@ -457,27 +452,34 @@ class TestStatsMirror:
             refresher=IncrementalALSRefresher(fast_als_config),
             telemetry=tel,
         )
-        serve_traffic(service, n_batches=6)
+        served = sum(h.size for h in serve_traffic(service, n_batches=6))
         service.refresh_now()
-        recorded = service.stats()
-        mirrored = ServingStats.from_registry(tel.registry)
-        assert mirrored.decisions == recorded.decisions
-        assert mirrored.batches == recorded.batches
-        assert mirrored.refreshes == recorded.refreshes
-        assert mirrored.shed == recorded.shed
-        assert mirrored.non_default_fraction == pytest.approx(
-            recorded.non_default_fraction
+        stats = service.stats()
+        assert stats.decisions == served
+        assert stats.batches == 6
+
+        def value(name):
+            return tel.registry.get(name).labels(tel.shard_label).value
+
+        assert value("repro_decisions_total") == stats.decisions
+        assert value("repro_batches_total") == stats.batches
+        assert value("repro_refreshes_total") == stats.refreshes >= 1
+        assert value("repro_serve_wall_seconds_total") == stats.wall_seconds
+        assert value("repro_non_default_total") == pytest.approx(
+            stats.non_default_fraction * stats.decisions
         )
-        assert mirrored.wall_seconds == pytest.approx(recorded.wall_seconds)
-        payload = recorded.as_dict(registry=tel.registry)
-        assert payload["telemetry"]["consistent"] is True
+        assert "repro_example_seconds" not in tel.registry
 
     def test_from_registry_on_empty_registry_is_zero(self):
-        stats = ServingStats.from_registry(MetricsRegistry())
+        tel = Telemetry(registry=MetricsRegistry())
+        stats = ServingStats.of(tel.serving_metrics())
         assert stats.decisions == 0
+        assert stats.batches == 0
+        assert stats.shed == 0
         assert stats.throughput_qps == 0.0
+        assert stats.non_default_fraction == 0.0
 
-    def test_cluster_from_registry_consistent_without_crashes(self):
+    def test_cluster_stats_read_registry_children(self):
         rng = np.random.default_rng(11)
         tel = Telemetry.enabled()
         cluster = ServingCluster(3, 4, telemetry=tel)
@@ -494,32 +496,20 @@ class TestStatsMirror:
             )
         cluster.tick()
         stats = cluster.stats()
-        payload = stats.as_dict(registry=tel.registry)
-        assert payload["telemetry"]["consistent"] is True
-        mirror = ClusterStats.from_registry(tel.registry)
-        assert mirror.cluster.decisions == stats.cluster.decisions
-        assert mirror.routed_batches == stats.routed_batches
-        assert sorted(mirror.per_shard) == sorted(stats.per_shard)
-        assert mirror.n_shards == stats.n_shards
-        assert mirror.total_rows == stats.total_rows
+        registry = tel.registry
+        assert stats.cluster.decisions == 48
+        assert stats.routed_batches == 6
+        assert registry.get("repro_routed_batches_total").child.value == 6
+        decisions = registry.get("repro_decisions_total")
+        for sid, shard_stats in stats.per_shard.items():
+            assert decisions.labels(str(sid)).value == shard_stats.decisions
+        assert registry.get("repro_shards").child.value == stats.n_shards
+        assert registry.get("repro_rows").child.value == stats.total_rows
 
-    def test_direct_shed_mutation_warns_once_mirrored(self):
-        recorder = LatencyRecorder()
-        recorder.record_shed(2)  # unmirrored: legacy path stays silent
-        tel = Telemetry.enabled()
-        recorder.bind_metrics(tel.serving_metrics())
-        with pytest.warns(DeprecationWarning):
-            recorder.record_shed(3)
-        assert recorder.report().shed == 5
-        shed = tel.registry.get("repro_shed_total").merged_child().value
-        assert shed == 3  # only mirrored increments reach the registry
-
-    def test_blessed_shed_path_does_not_warn(self):
+    def test_record_shed_counts_in_registry(self):
         tel = Telemetry.enabled()
         service = ServingService(make_matrix(), telemetry=tel)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            service.record_shed(4)
+        service.record_shed(4)
         assert service.stats().shed == 4
         assert tel.registry.get("repro_shed_total").merged_child().value == 4
 
