@@ -163,3 +163,62 @@ def test_warm_start_with_fewer_iterations_refines_cold_result():
     assert len(warm.objective_trace) == 2
     # Restarting from converged factors must not blow the objective back up.
     assert warm.objective_trace[-1] <= cold.objective_trace[-1] * 1.05
+
+
+def test_full_extent_warm_start_ignores_seed_and_unobserved_cells():
+    truth = low_rank_matrix()
+    mask = random_mask(truth.shape, 0.5)
+    timeouts = np.zeros_like(truth)
+    timeouts[3, 4] = truth[3, 4] * 2.0
+    mask[3, 4] = 0.0
+    warm = censored_als(truth, mask, timeouts, ALSConfig(rank=3, iterations=5)).factors
+
+    def solve(observed, seed):
+        config = ALSConfig(rank=3, iterations=5, seed=seed)
+        return censored_als(observed, mask, timeouts, config, warm_start=warm, iterations=3)
+
+    expected = solve(truth, seed=0)
+    variants = [solve(truth, seed=1)]
+    for fill in (np.inf, np.nan):
+        observed = np.where(mask > 0, truth, fill)
+        variants += [solve(observed, seed=0), solve(observed, seed=1)]
+    for result in variants:
+        assert np.array_equal(result.completed, expected.completed)
+        assert np.array_equal(result.query_factors, expected.query_factors)
+        assert np.array_equal(result.hint_factors, expected.hint_factors)
+        assert np.array_equal(result.objective_trace, expected.objective_trace)
+
+
+def test_input_validation_holds_with_a_warm_start():
+    truth = low_rank_matrix()
+    mask = random_mask(truth.shape, 0.5)
+    config = ALSConfig(rank=3, iterations=5)
+    warm = censored_als(truth, mask, config=config).factors
+    non_finite = truth.copy()
+    non_finite[0, 0] = np.nan
+    bad_calls = [
+        (truth, np.zeros_like(truth), None),  # empty mask
+        (truth, np.ones((3, 3)), None),
+        (truth, mask, np.zeros((2, 2))),
+        (non_finite, mask, None),  # mask[:, 0] is always observed
+    ]
+    for observed, bad_mask, timeouts in bad_calls:
+        with pytest.raises(CompletionError):
+            censored_als(observed, bad_mask, timeouts, config, warm_start=warm)
+
+
+def test_infinite_censored_bound_is_rejected():
+    truth = low_rank_matrix()
+    mask = random_mask(truth.shape, 0.5)
+    timeouts = np.zeros_like(truth)
+    mask[2, 3] = 0.0
+    timeouts[2, 3] = np.inf
+    config = ALSConfig(rank=3, iterations=5)
+    with pytest.raises(CompletionError):
+        censored_als(truth, mask, timeouts, config)
+    warm = censored_als(truth, mask, config=config).factors
+    with pytest.raises(CompletionError):
+        censored_als(truth, mask, timeouts, config, warm_start=warm)
+    # With censoring off the bounds are ignored, infinite or not.
+    result = censored_als(truth, mask, timeouts, ALSConfig(rank=3, iterations=5, censored=False))
+    assert np.isfinite(result.completed).all()
