@@ -11,7 +11,9 @@ provides the minimum viable substrate:
 * :mod:`repro.nn.treeconv` -- binary tree convolution and dynamic pooling,
 * :mod:`repro.nn.optim` -- SGD and Adam,
 * :mod:`repro.nn.losses` -- MSE and the censored loss (paper Equation 8),
-* :mod:`repro.nn.tcnn` -- the TCNN and transductive TCNN models,
+* :mod:`repro.nn.tcnn` -- the TCNN and transductive TCNN models and
+  :func:`~repro.nn.tcnn.infer`, their tape-free inference kernel (the
+  autograd tape is only built for training),
 * :mod:`repro.nn.trainer` -- the training loop with the paper's
   convergence criterion and warm starting.
 """

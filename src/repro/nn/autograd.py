@@ -68,10 +68,6 @@ class Tensor:
         """Number of dimensions."""
         return self.data.ndim
 
-    def numpy(self) -> np.ndarray:
-        """Copy of the underlying data."""
-        return self.data.copy()
-
     def item(self) -> float:
         """Scalar value (for losses)."""
         return float(self.data)

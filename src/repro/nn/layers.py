@@ -11,12 +11,11 @@ from .autograd import Tensor, parameter
 
 
 class Module:
-    """Base class: tracks parameters and train/eval mode."""
+    """Base class: tracks parameters and child modules."""
 
     def __init__(self) -> None:
         self._parameters: Dict[str, Tensor] = {}
         self._modules: Dict[str, "Module"] = {}
-        self.training = True
 
     # -- registration -------------------------------------------------------
     def register_parameter(self, name: str, tensor: Tensor) -> Tensor:
@@ -41,20 +40,6 @@ class Module:
         """Reset every parameter gradient."""
         for param in self.parameters():
             param.zero_grad()
-
-    def train(self) -> "Module":
-        """Enable training mode (dropout active)."""
-        self.training = True
-        for child in self._modules.values():
-            child.train()
-        return self
-
-    def eval(self) -> "Module":
-        """Enable evaluation mode (dropout disabled)."""
-        self.training = False
-        for child in self._modules.values():
-            child.eval()
-        return self
 
     # -- persistence ---------------------------------------------------------
     def state_dict(self, prefix: str = "") -> Dict[str, np.ndarray]:
@@ -122,7 +107,11 @@ class ReLU(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout; a no-op in evaluation mode."""
+    """Inverted dropout.
+
+    Modules only build the autograd tape for training, so dropout is always
+    active here; inference (:func:`repro.nn.tcnn.infer`) skips it.
+    """
 
     def __init__(self, p: float = 0.5, seed: int = 0) -> None:
         super().__init__()
@@ -132,7 +121,7 @@ class Dropout(Module):
         self._rng = np.random.default_rng(seed)
 
     def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
+        if self.p == 0.0:
             return x
         keep = 1.0 - self.p
         mask = (self._rng.random(x.shape) < keep).astype(float) / keep
@@ -153,13 +142,17 @@ class Embedding(Module):
         self.num_embeddings = num_embeddings
         self.dim = dim
 
-    def forward(self, indices) -> Tensor:
+    def check(self, indices) -> np.ndarray:
+        """``indices`` as an int64 array, rejecting any outside the table."""
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size and (indices.min() < 0 or indices.max() >= self.num_embeddings):
             raise NeuralNetworkError(
                 f"embedding index out of range [0, {self.num_embeddings})"
             )
-        return self.weight.gather_rows(indices)
+        return indices
+
+    def forward(self, indices) -> Tensor:
+        return self.weight.gather_rows(self.check(indices))
 
     def grow(self, new_count: int, seed: int = 0) -> None:
         """Extend the table (new queries arriving); existing rows are kept."""

@@ -7,6 +7,10 @@ plan.  ``TransductiveTCNN`` adds two embedding tables -- one per query
 concatenated with the pooled plan representation before the fully connected
 head.  The embeddings are isomorphic to the ALS factors ``Q`` and ``H``,
 which is how the model exploits the workload matrix's low-rank structure.
+
+The modules' ``forward`` methods build the autograd tape and serve training
+only.  Inference goes through :func:`infer`, a tape-free kernel over the
+same weights that reproduces the tape forward bit for bit.
 """
 
 from __future__ import annotations
@@ -137,3 +141,67 @@ class TransductiveTCNN(Module):
         combined = self.dropout(combined)
         out = self.head(combined)
         return out.reshape(batch.batch_size)
+
+
+def infer(model, batch: TreeBatch, query_idx=None, hint_idx=None) -> np.ndarray:
+    """Tape-free forward pass of a :class:`TCNNModel` or :class:`TransductiveTCNN`.
+
+    Returns ``model(batch, query_idx, hint_idx).data`` without dropout, bit
+    for bit, but records no autograd tape.  Every tree-convolution layer
+    works on the flattened ``(plans * nodes, channels)`` array: the node
+    rows are multiplied by ``W_self``, ``W_left`` and ``W_right``, and the
+    children's rows are gathered from the *products* through flat child
+    indices.  A GEMM computes each output row from its input row alone, so
+    gathering after the product gives the same values as the tape's
+    gather-then-multiply, and the in-place sum keeps the tape's order
+    ``self + left + right + bias``.  Dynamic pooling is a masked max, which
+    is exact.  The input checks raise the same :class:`NeuralNetworkError` s
+    as the tape forward.
+    """
+    size = batch.batch_size
+    transductive = isinstance(model, TransductiveTCNN)
+    if transductive:
+        query_idx = np.asarray(query_idx, dtype=np.int64)
+        hint_idx = np.asarray(hint_idx, dtype=np.int64)
+        if query_idx.shape[0] != size or hint_idx.shape[0] != size:
+            raise NeuralNetworkError("query/hint index length must match the batch size")
+    real = np.asarray(batch.mask, dtype=float) > 0
+    if not real.any(axis=1).all():
+        # Without this an empty plan would pool to -inf.
+        raise NeuralNetworkError("every sample needs at least one unmasked node")
+
+    n_nodes = batch.max_nodes
+    offsets = np.arange(size, dtype=np.int64)[:, None] * n_nodes
+    left = (np.asarray(batch.left, dtype=np.int64) + offsets).ravel()
+    right = (np.asarray(batch.right, dtype=np.int64) + offsets).ravel()
+    keep = np.asarray(batch.mask, dtype=float).reshape(-1, 1)
+    hidden = np.asarray(batch.nodes, dtype=float).reshape(size * n_nodes, -1)
+    for layer in model.tree_conv.layers:
+        # Three GEMMs into contiguous arrays: one GEMM against the
+        # concatenated weights is as exact, but its column slices are
+        # strided and made the gathers and adds ~3x slower.
+        combined = hidden @ layer.weight_self.data
+        combined += np.take(hidden @ layer.weight_left.data, left, axis=0)
+        combined += np.take(hidden @ layer.weight_right.data, right, axis=0)
+        combined += layer.bias.data
+        combined *= combined > 0
+        combined *= keep
+        hidden = combined
+    pooled = np.where(real.reshape(-1, 1), hidden, -np.inf)
+    pooled = pooled.reshape(size, n_nodes, -1).max(axis=1)
+
+    if transductive:
+        query_vectors = model.query_embedding.weight.data[
+            model.query_embedding.check(query_idx)
+        ]
+        hint_vectors = model.hint_embedding.weight.data[
+            model.hint_embedding.check(hint_idx)
+        ]
+        pooled = np.concatenate([pooled, query_vectors, hint_vectors], axis=-1)
+    for module in model.head:
+        if isinstance(module, Linear):
+            pooled = pooled @ module.weight.data + module.bias.data
+        elif isinstance(module, ReLU):
+            pooled = pooled * (pooled > 0)
+        # Dropout is the identity at inference.
+    return pooled.reshape(size)

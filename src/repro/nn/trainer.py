@@ -25,7 +25,7 @@ from ..core.workload_matrix import WorkloadMatrix
 from ..errors import NeuralNetworkError
 from .losses import censored_mse_loss, mse_loss
 from .optim import Adam
-from .tcnn import TCNNModel, TransductiveTCNN
+from .tcnn import TCNNModel, TransductiveTCNN, infer
 
 
 class TCNNTrainer:
@@ -99,7 +99,6 @@ class TCNNTrainer:
         all_query_idx = np.array([c[0] for c in cells], dtype=np.int64)
         all_hint_idx = np.array([c[1] for c in cells], dtype=np.int64)
 
-        self.model.train()
         epoch_losses: List[float] = []
         order = np.arange(len(cells))
         for epoch in range(self.config.max_epochs):
@@ -142,30 +141,30 @@ class TCNNTrainer:
 
     # -- inference -------------------------------------------------------------------
     def predict_batch(self, batch, query_idx, hint_idx) -> np.ndarray:
-        """One forward pass over an already-packed padded tree batch.
+        """One tape-free forward pass over an already-packed padded tree batch.
 
-        This is the serving-path entry point: callers that keep a
-        pre-packed ``(batch, nodes, features)`` tensor around (see
+        Every prediction goes through here and the inference kernel
+        :func:`repro.nn.tcnn.infer`.  Callers that keep a pre-packed
+        ``(batch, nodes, features)`` tensor around (see
         :class:`repro.serving.service.BatchedLatencyEstimator`) skip the
-        per-cell featurise-and-pad work entirely and pay only for the
-        gathers and matmuls of the tree convolution.  Returns latencies in
-        seconds (``expm1`` of the model's log-space output, clipped at 0).
+        per-cell featurise-and-pad work entirely and pay only for the tree
+        convolution's GEMMs.  Returns latencies in seconds (``expm1`` of the
+        model's log-space output, clipped at 0).
         """
-        self.model.eval()
-        query_idx = np.asarray(query_idx, dtype=np.int64)
-        hint_idx = np.asarray(hint_idx, dtype=np.int64)
-        out = self.model(batch, query_idx, hint_idx)
-        return np.clip(np.expm1(out.numpy()), 0.0, None)
+        out = infer(self.model, batch, query_idx, hint_idx)
+        return np.clip(np.expm1(out), 0.0, None)
 
     def predict_cells(
         self, cells: Sequence[Tuple[int, int]], batch_size: Optional[int] = None
     ) -> np.ndarray:
         """Predicted latencies (seconds) for specific matrix cells."""
+        if batch_size is None:
+            batch_size = max(self.config.batch_size, 64)
+        if batch_size < 1:
+            raise NeuralNetworkError(f"batch_size must be >= 1, got {batch_size}")
         if not cells:
             return np.zeros(0)
         predictions = np.zeros(len(cells))
-        if batch_size is None:
-            batch_size = max(self.config.batch_size, 64)
         for start in range(0, len(cells), batch_size):
             chunk = list(cells[start:start + batch_size])
             batch = self.feature_store.batch(chunk)
@@ -181,10 +180,11 @@ class TCNNTrainer:
 
         When the feature store caches a pre-packed full-matrix batch
         (:meth:`~repro.plans.featurize.PlanFeatureStore.full_batch`), the
-        whole pass is array slices and forward passes -- no per-cell Python
-        loop, no repeated padding.  Inference is deterministic per sample
-        (dropout is off in eval mode), so chunk boundaries do not affect the
-        predictions.
+        whole pass is array slices and tape-free forward passes -- no
+        per-cell Python loop, no repeated padding.  Each plan's prediction
+        depends on that plan alone, so chunk boundaries do not affect the
+        predictions; the 512-plan chunks keep each layer's working set in
+        cache (one chunk of the whole matrix ran about 2x slower).
         """
         n, k = matrix.n_queries, matrix.n_hints
         full_batch = getattr(self.feature_store, "full_batch", None)
@@ -204,7 +204,3 @@ class TCNNTrainer:
                 packed.take(window), query_idx[window], hint_idx[window]
             )
         return predictions.reshape(n, k)
-
-    def predict_all(self, matrix: WorkloadMatrix) -> np.ndarray:
-        """Backwards-compatible alias for :meth:`predict_full`."""
-        return self.predict_full(matrix)

@@ -101,13 +101,19 @@ def pack_trees(trees: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]]) -> Tr
 
 
 class _FullBatchCacheMixin:
-    """Shared cache for the packed full-matrix :class:`TreeBatch`.
+    """Shared cell validation and cache for the packed full-matrix :class:`TreeBatch`.
 
     Plans are deterministic per cell, so the packed arrays only go stale
     when the store grows; the cache is keyed on the store's shape.  This is
     what makes repeated full-matrix predictions (one per exploration step)
     pay for featurisation and padding exactly once.
     """
+
+    def _check_cell(self, query: int, hint: int) -> None:
+        """Reject cells outside ``[0, n) x [0, k)`` (no negative wrap-around)."""
+        n, k = self.shape
+        if not (0 <= query < n and 0 <= hint < k):
+            raise PlanError(f"cell ({query}, {hint}) is outside the {n} x {k} matrix")
 
     def full_batch(self) -> TreeBatch:
         """One padded batch covering every cell in row-major order (cached)."""
@@ -156,6 +162,7 @@ class PlanFeatureStore(_FullBatchCacheMixin):
         """Featurised plan arrays for one cell (cached)."""
         key = (query, hint)
         if key not in self._cache:
+            self._check_cell(query, hint)
             self._cache[key] = self.featurizer.featurize(
                 self.queries[query], self.hint_sets[hint]
             )
@@ -225,6 +232,7 @@ class SyntheticPlanFeatureStore(_FullBatchCacheMixin):
         key = (query, hint)
         if key in self._cache:
             return self._cache[key]
+        self._check_cell(query, hint)
         rng = np.random.default_rng(
             (self.seed * 1_000_003 + query * 49_999 + hint * 101) % (2 ** 32)
         )

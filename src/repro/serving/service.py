@@ -77,13 +77,7 @@ class BatchedLatencyEstimator:
             return np.zeros(0)
         n_queries, n_hints = shape
         if self._packed is not None and self._packed_shape == (n_queries, n_hints):
-            flat = queries * n_hints + hints
-            batch = TreeBatch(
-                nodes=self._packed.nodes[flat],
-                left=self._packed.left[flat],
-                right=self._packed.right[flat],
-                mask=self._packed.mask[flat],
-            )
+            batch = self._packed.take(queries * n_hints + hints)
         else:
             batch = self.feature_store.batch(list(zip(queries.tolist(), hints.tolist())))
         return self.trainer.predict_batch(batch, queries, hints)

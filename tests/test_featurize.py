@@ -106,6 +106,26 @@ def test_synthetic_store_add_query_and_validation():
         SyntheticPlanFeatureStore(np.ones(3), np.ones((4, 3)))
 
 
+@pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (3, 0), (0, 4)])
+def test_synthetic_store_rejects_cells_outside_the_matrix(cell):
+    store = SyntheticPlanFeatureStore(np.ones((3, 2)), np.ones((4, 2)))
+    with pytest.raises(PlanError):
+        store.tree(*cell)
+    with pytest.raises(PlanError):
+        store.batch([(0, 0), cell])
+    # Nothing was made up and cached for the rejected cell.
+    assert cell not in store._cache
+
+
+def test_plan_feature_store_rejects_cells_outside_the_matrix(db_workload):
+    store = db_workload.feature_store()
+    n, k = store.shape
+    for cell in [(-1, 0), (0, -1), (n, 0), (0, k)]:
+        with pytest.raises(PlanError):
+            store.tree(*cell)
+    assert store.tree(n - 1, k - 1)[0].shape[1] == NODE_FEATURE_DIM
+
+
 def test_synthetic_store_batch(tiny_workload):
     store = tiny_workload.feature_store()
     batch = store.batch([(0, 0), (1, 2)])

@@ -35,16 +35,14 @@ def test_relu_module():
     assert np.allclose(out.data, [0.0, 2.0])
 
 
-def test_dropout_behaviour_in_train_and_eval():
+def test_dropout_zeroes_and_rescales():
     layer = Dropout(0.5, seed=0)
     x = Tensor(np.ones((100, 10)))
-    layer.train()
     dropped = layer(x)
     assert (dropped.data == 0).any()
     # Inverted dropout keeps the expectation roughly constant.
     assert abs(dropped.data.mean() - 1.0) < 0.2
-    layer.eval()
-    assert np.allclose(layer(x).data, 1.0)
+    assert Dropout(0.0)(x) is x
 
 
 def test_dropout_validation():
@@ -107,14 +105,6 @@ def test_load_state_dict_validates_names_and_shapes():
     bad["weight"] = np.ones((5, 5))
     with pytest.raises(NeuralNetworkError):
         model.load_state_dict(bad)
-
-
-def test_train_eval_propagates_to_children():
-    model = Sequential([Linear(2, 2), Dropout(0.3)])
-    model.eval()
-    assert not model._ordered[1].training
-    model.train()
-    assert model._ordered[1].training
 
 
 def test_module_forward_is_abstract():

@@ -6,7 +6,7 @@ import pytest
 from repro.config import TCNNConfig
 from repro.core.predictors import TCNNPredictor, TransductiveTCNNPredictor
 from repro.core.workload_matrix import WorkloadMatrix
-from repro.errors import NeuralNetworkError
+from repro.errors import NeuralNetworkError, PlanError
 from repro.nn.trainer import TCNNTrainer
 
 
@@ -59,7 +59,7 @@ def test_trainer_predictions_have_matrix_shape_and_are_nonnegative(tiny_workload
     trainer = TCNNTrainer(tiny_workload.feature_store(), tiny_workload.n_queries,
                           tiny_workload.n_hints, small_config())
     trainer.fit(matrix)
-    predictions = trainer.predict_all(matrix)
+    predictions = trainer.predict_full(matrix)
     assert predictions.shape == matrix.shape
     assert (predictions >= 0).all()
 
@@ -96,6 +96,23 @@ def test_predict_cells_empty_input(tiny_workload):
     trainer = TCNNTrainer(tiny_workload.feature_store(), tiny_workload.n_queries,
                           tiny_workload.n_hints, small_config())
     assert trainer.predict_cells([]).shape == (0,)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_predict_cells_rejects_nonpositive_batch_size(tiny_workload, batch_size):
+    trainer = TCNNTrainer(tiny_workload.feature_store(), tiny_workload.n_queries,
+                          tiny_workload.n_hints, small_config())
+    with pytest.raises(NeuralNetworkError):
+        trainer.predict_cells([(0, 0), (1, 1)], batch_size=batch_size)
+
+
+def test_predict_cells_rejects_cells_outside_the_matrix(tiny_workload):
+    trainer = TCNNTrainer(tiny_workload.feature_store(), tiny_workload.n_queries,
+                          tiny_workload.n_hints, small_config(use_embeddings=False))
+    with pytest.raises(PlanError):
+        trainer.predict_cells([(-1, 1)])
+    with pytest.raises(PlanError):
+        trainer.predict_cells([(tiny_workload.n_queries, 0)])
 
 
 def test_tcnn_predictor_preserves_observed_values(tiny_workload):
@@ -139,5 +156,3 @@ def test_predict_full_matches_per_cell_prediction(tiny_workload):
     cells = [(i, j) for i in range(n) for j in range(k)]
     per_cell = trainer.predict_cells(cells).reshape(n, k)
     np.testing.assert_allclose(full, per_cell, rtol=0, atol=0)
-    # predict_all stays as a compatible alias.
-    np.testing.assert_array_equal(trainer.predict_all(matrix), full)
